@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 
 use simio::disk::SimDisk;
 
-use wdog_base::error::BaseResult;
+use wdog_base::error::{BaseError, BaseResult};
 
 use crate::sstable::{validate_sstable, SstMeta};
 
@@ -83,12 +83,22 @@ impl PartitionManager {
     ///
     /// This is the paper's "checker that computes and validates the checksum
     /// of each partition".
+    ///
+    /// A table that compaction replaced and removed after the registry was
+    /// read is no longer live, so its missing file is not a failure.
     pub fn validate_all(&self) -> BaseResult<()> {
         let tables = self.tables();
         for t in &tables {
-            validate_sstable(&self.disk, &t.path)?;
+            match validate_sstable(&self.disk, &t.path) {
+                Err(BaseError::NotFound(_)) if !self.is_live(&t.path) => {}
+                result => result?,
+            }
         }
         Ok(())
+    }
+
+    fn is_live(&self, path: &str) -> bool {
+        self.tables.lock().iter().any(|t| t.path == path)
     }
 
     /// Returns key-range ordering violations between adjacent tables — the
@@ -188,6 +198,41 @@ mod tests {
         raw[last] ^= 0xFF;
         disk.write_all(&p, &raw).unwrap();
         assert!(pm.validate_all().is_err());
+    }
+
+    #[test]
+    fn validate_all_skips_tables_compacted_away_mid_scan() {
+        use simio::disk::{DiskFault, DiskOpKind, FaultRule};
+        let disk = SimDisk::for_tests();
+        let pm = Arc::new(PartitionManager::new(Arc::clone(&disk)));
+        let paths: Vec<String> = (0..3).map(|_| pm.next_path()).collect();
+        for (i, p) in paths.iter().enumerate() {
+            pm.register(write_sstable(&disk, p, &entries(&[(&format!("k{i}"), "v")])).unwrap());
+        }
+        // Hold the scan on the first table's read while compaction replaces
+        // (and deletes) the other two.
+        let hold = disk.inject(FaultRule::scoped(
+            paths[0].clone(),
+            vec![DiskOpKind::Read],
+            DiskFault::Stuck,
+        ));
+        let reads_before = disk.op_stats().read.calls;
+        let scan = {
+            let pm = Arc::clone(&pm);
+            std::thread::spawn(move || pm.validate_all())
+        };
+        while disk.op_stats().read.calls == reads_before {
+            std::thread::yield_now();
+        }
+        let merged = pm.next_path();
+        let meta = write_sstable(&disk, &merged, &entries(&[("k1", "v"), ("k2", "v")])).unwrap();
+        pm.replace(&paths[1..], meta).unwrap();
+        disk.clear(hold);
+        scan.join().unwrap().unwrap();
+
+        // A live table whose file is missing is still a failure.
+        disk.remove(&merged).unwrap();
+        assert!(matches!(pm.validate_all(), Err(BaseError::NotFound(_))));
     }
 
     #[test]

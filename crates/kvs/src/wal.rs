@@ -1,10 +1,12 @@
 //! The checksummed write-ahead log.
 //!
 //! Records are framed as `[len: u32 LE][crc32: u32 LE][payload]` and
-//! appended to a single log file, fsynced per record. Replay validates every
-//! checksum and stops at the first torn record (a crash mid-append), so
-//! recovery after [`simio::SimDisk::crash`] yields exactly the durable
-//! prefix.
+//! appended to a single log file a batch at a time: the frames of a batch go
+//! down in one append followed by one fsync (group commit), so a batch is
+//! durable as a whole or, after a crash before its fsync, lost as a whole.
+//! Replay validates every checksum and stops at the first torn record (a
+//! crash mid-append), so recovery after [`simio::SimDisk::crash`] yields
+//! exactly the durable prefix.
 
 use std::sync::Arc;
 
@@ -43,16 +45,21 @@ impl Wal {
         self.appended_bytes
     }
 
-    /// Appends one record and makes it durable.
+    /// Appends a batch of records and makes them durable together: one
+    /// append of every frame, then one fsync. On error no record of the
+    /// batch has been made durable.
     // wdog: resource wal/
-    pub fn append_record(&mut self, payload: &[u8]) -> BaseResult<()> {
-        let mut frame = Vec::with_capacity(HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.disk.append(&self.path, &frame)?;
+    pub fn append_record<R: AsRef<[u8]>>(&mut self, batch: &[R]) -> BaseResult<()> {
+        let mut frames = Vec::new();
+        for payload in batch {
+            let payload = payload.as_ref();
+            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frames.extend_from_slice(&crc32(payload).to_le_bytes());
+            frames.extend_from_slice(payload);
+        }
+        self.disk.append(&self.path, &frames)?;
         self.disk.fsync(&self.path)?;
-        self.appended_bytes += frame.len() as u64;
+        self.appended_bytes += frames.len() as u64;
         Ok(())
     }
 
@@ -121,8 +128,8 @@ mod tests {
     fn append_replay_roundtrip() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"one").unwrap();
-        wal.append_record(b"two").unwrap();
+        wal.append_record(&[b"one"]).unwrap();
+        wal.append_record(&[b"two"]).unwrap();
         let records = Wal::replay(&disk, "wal/current").unwrap();
         assert_eq!(records, vec![b"one".to_vec(), b"two".to_vec()]);
     }
@@ -137,7 +144,7 @@ mod tests {
     fn crash_preserves_synced_records() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"durable").unwrap();
+        wal.append_record(&[b"durable"]).unwrap();
         // A torn append: raw frame bytes without the trailing fsync.
         disk.append("wal/current", &[5, 0, 0, 0]).unwrap();
         disk.crash();
@@ -146,10 +153,33 @@ mod tests {
     }
 
     #[test]
+    fn crash_between_batch_append_and_fsync_loses_exactly_that_batch() {
+        use simio::disk::{DiskFault, DiskOpKind, FaultRule};
+        let disk = SimDisk::for_tests();
+        let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
+        wal.append_record(&[b"a", b"b"]).unwrap();
+        wal.append_record(&[b"c"]).unwrap();
+        // The next batch's append lands but its fsync never completes.
+        let fault = disk.inject(FaultRule::scoped(
+            "wal/",
+            vec![DiskOpKind::Sync],
+            DiskFault::Error {
+                message: "power lost".into(),
+            },
+        ));
+        assert!(wal.append_record(&[b"d", b"e", b"f"]).is_err());
+        disk.clear(fault);
+        assert_eq!(Wal::replay(&disk, "wal/current").unwrap().len(), 6);
+        disk.crash();
+        let records = Wal::replay(&disk, "wal/current").unwrap();
+        assert_eq!(records, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+    }
+
+    #[test]
     fn torn_final_record_ends_replay() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"good").unwrap();
+        wal.append_record(&[b"good"]).unwrap();
         // Header claims 100 bytes but only 3 follow.
         let mut torn = Vec::new();
         torn.extend_from_slice(&100u32.to_le_bytes());
@@ -164,7 +194,7 @@ mod tests {
     fn corrupted_record_detected() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"record-payload").unwrap();
+        wal.append_record(&[b"record-payload"]).unwrap();
         // Flip a payload byte in place.
         let mut raw = disk.read("wal/current").unwrap();
         let last = raw.len() - 1;
@@ -180,7 +210,7 @@ mod tests {
     fn truncate_resets_log() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"x").unwrap();
+        wal.append_record(&[b"x"]).unwrap();
         assert!(wal.appended_bytes() > 0);
         wal.truncate().unwrap();
         assert_eq!(wal.appended_bytes(), 0);
@@ -191,7 +221,7 @@ mod tests {
     fn empty_payload_roundtrips() {
         let disk = SimDisk::for_tests();
         let mut wal = Wal::new(Arc::clone(&disk), "wal/current");
-        wal.append_record(b"").unwrap();
+        wal.append_record(&[b""]).unwrap();
         let records = Wal::replay(&disk, "wal/current").unwrap();
         assert_eq!(records, vec![Vec::<u8>::new()]);
     }

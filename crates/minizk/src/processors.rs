@@ -2,9 +2,17 @@
 //!
 //! Writes flow through a single ordered pipeline thread, as in ZooKeeper's
 //! processor chain: `PrepRequestProcessor` assigns the zxid,
-//! `SyncRequestProcessor` makes the transaction durable in the txn log, and
-//! `FinalRequestProcessor` applies it to the [`DataTree`](crate::datatree::DataTree) (taking the
+//! `SyncRequestProcessor` makes transactions durable in the txn log, and
+//! `FinalRequestProcessor` applies each to the [`DataTree`](crate::datatree::DataTree) (taking the
 //! write-serialization lock) and enqueues the commit for broadcast.
+//!
+//! Like ZooKeeper's `SyncRequestProcessor`, the sync stage group-commits:
+//! the pipeline takes every queued transaction (up to `MAX_BATCH`) at
+//! once, logs all their frames with one append and one fsync, and only
+//! after that fsync returns applies and acknowledges each of them in zxid
+//! order. No client is acked before its transaction is durable; a failed
+//! append or fsync fails every transaction of the batch, and none of them
+//! is applied.
 //!
 //! Because the pipeline is ordered, one transaction blocked inside the
 //! final processor — e.g. on a write lock held by a wedged snapshot sync —
@@ -65,23 +73,36 @@ impl WriteOp {
 /// A pipeline work item: the op plus the client's reply queue.
 pub(crate) type PipelineItem = (WriteOp, ClockedQueue<BaseResult<u64>>);
 
+/// Most transactions one txn-log group commit makes durable together — the
+/// flush threshold of ZooKeeper's `SyncRequestProcessor`.
+const MAX_BATCH: usize = 1000;
+
 /// The pipeline thread body.
 pub(crate) fn processor_loop(shared: Arc<ZkShared>, rx: ClockedQueue<PipelineItem>) {
     while shared.is_running() {
-        let Some((op, reply)) = rx.pop_timeout(Duration::from_millis(10)) else {
-            continue;
-        };
-        let result = process_request(&shared, op);
-        let _ = reply.push(result);
+        let batch = rx.pop_batch(Duration::from_millis(10), MAX_BATCH);
+        if !batch.is_empty() {
+            process_request(&shared, batch);
+        }
     }
 }
 
-/// Runs one transaction through all three processors.
-pub(crate) fn process_request(shared: &Arc<ZkShared>, op: WriteOp) -> BaseResult<u64> {
-    let zxid = prep_request(shared);
-    sync_txn(shared, zxid, &op)?;
-    final_apply(shared, zxid, op)?;
-    Ok(zxid)
+/// Runs one batch of transactions through all three processors and
+/// replies to each client: every reply follows the batch's fsync.
+pub(crate) fn process_request(shared: &Arc<ZkShared>, batch: Vec<PipelineItem>) {
+    let txns: Vec<(u64, PipelineItem)> = batch
+        .into_iter()
+        .map(|item| (prep_request(shared), item))
+        .collect();
+    if let Err(e) = sync_txn(shared, &txns) {
+        for (_, (_, reply)) in txns {
+            let _ = reply.push(Err(e.clone()));
+        }
+        return;
+    }
+    for (zxid, (op, reply)) in txns {
+        let _ = reply.push(final_apply(shared, zxid, op).map(|()| zxid));
+    }
 }
 
 /// Prep processor: assigns the transaction id.
@@ -89,20 +110,28 @@ fn prep_request(shared: &Arc<ZkShared>) -> u64 {
     shared.next_zxid.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Sync processor: makes the transaction durable in the txn log.
-fn sync_txn(shared: &Arc<ZkShared>, zxid: u64, op: &WriteOp) -> BaseResult<()> {
-    let payload = op.encode();
-    // Watchdog hook before the vulnerable append (generated plan point).
-    let hook_payload = payload.clone();
-    if let Some(mut fire) = shared.txn_hook.fire() {
-        fire.field("txn_payload", CtxValue::Bytes(hook_payload))
-            .field("zxid", CtxValue::U64(zxid));
+/// Sync processor: makes a batch of transactions durable in the txn log
+/// with one append and one fsync.
+fn sync_txn(shared: &Arc<ZkShared>, txns: &[(u64, PipelineItem)]) -> BaseResult<()> {
+    let mut frames = Vec::new();
+    for (zxid, (op, _)) in txns {
+        let payload = op.encode();
+        // Watchdog hook before the vulnerable append (generated plan
+        // point), once per transaction.
+        let hook_payload = payload.clone();
+        if let Some(mut fire) = shared.txn_hook.fire() {
+            fire.field("txn_payload", CtxValue::Bytes(hook_payload))
+                .field("zxid", CtxValue::U64(*zxid));
+        }
+        frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frames.extend_from_slice(&payload);
     }
-    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&payload);
-    shared.disk.append("txnlog/log", &frame)?;
+    shared.disk.append("txnlog/log", &frames)?;
     shared.disk.fsync("txnlog/log")?;
-    shared.stats.txns_logged.fetch_add(1, Ordering::Relaxed);
+    shared
+        .stats
+        .txns_logged
+        .fetch_add(txns.len() as u64, Ordering::Relaxed);
     Ok(())
 }
 

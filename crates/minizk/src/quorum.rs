@@ -9,6 +9,7 @@
 //! holding the write-serialization lock. That is the ZOOKEEPER-2201
 //! mechanism, reproduced faithfully.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -317,11 +318,15 @@ impl Cluster {
         .expect("test cluster")
     }
 
-    fn submit(&self, op: WriteOp) -> BaseResult<u64> {
+    /// Queues `op` on the write pipeline without awaiting its reply.
+    fn enqueue(&self, op: WriteOp) -> Result<ClockedQueue<BaseResult<u64>>, PipelineItem> {
         let reply = ClockedQueue::<BaseResult<u64>>::bounded(&self.shared.clock, 1);
-        self.pipeline_q
-            .push((op, reply.clone()))
-            .map_err(|_| BaseError::Exhausted("write pipeline full or closed".into()))?;
+        self.pipeline_q.push((op, reply.clone()))?;
+        Ok(reply)
+    }
+
+    /// Awaits one queued op's reply, up to the client timeout.
+    fn await_reply(&self, reply: &ClockedQueue<BaseResult<u64>>) -> BaseResult<u64> {
         reply
             .pop_timeout(self.client_timeout)
             .ok_or_else(|| BaseError::Timeout {
@@ -330,12 +335,54 @@ impl Cluster {
             })?
     }
 
+    fn submit(&self, op: WriteOp) -> BaseResult<u64> {
+        let reply = self.enqueue(op).map_err(|_| pipeline_full())?;
+        self.await_reply(&reply)
+    }
+
     /// Creates a znode through the write pipeline.
     pub fn create(&self, path: &str, data: &[u8]) -> BaseResult<u64> {
         self.submit(WriteOp::Create {
             path: path.into(),
             data: data.to_vec(),
         })
+    }
+
+    /// Creates every `(path, data)` znode through the write pipeline,
+    /// queueing the creates before awaiting any reply so the sync stage
+    /// group-commits them. The pipeline is FIFO, so a parent listed ahead
+    /// of its children exists before they are applied. Results come back
+    /// in submission order; when the pipeline is full, the oldest
+    /// outstanding reply is awaited to make room.
+    pub fn create_all(
+        &self,
+        nodes: impl IntoIterator<Item = (String, Vec<u8>)>,
+    ) -> Vec<BaseResult<u64>> {
+        let mut results = Vec::new();
+        let mut pending: VecDeque<ClockedQueue<BaseResult<u64>>> = VecDeque::new();
+        for (path, data) in nodes {
+            let mut op = WriteOp::Create { path, data };
+            loop {
+                match self.enqueue(op) {
+                    Ok(reply) => {
+                        pending.push_back(reply);
+                        break;
+                    }
+                    Err((back, _)) => match pending.pop_front() {
+                        Some(oldest) => {
+                            results.push(self.await_reply(&oldest));
+                            op = back;
+                        }
+                        None => {
+                            results.push(Err(pipeline_full()));
+                            break;
+                        }
+                    },
+                }
+            }
+        }
+        results.extend(pending.iter().map(|reply| self.await_reply(reply)));
+        results
     }
 
     /// Updates a znode through the write pipeline.
@@ -507,6 +554,10 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
+fn pipeline_full() -> BaseError {
+    BaseError::Exhausted("write pipeline full or closed".into())
+}
+
 /// Drains the commit queue, shipping commits to every follower; `alive` is
 /// this generation's supervision flag — a restart retires it and spawns a
 /// fresh loop on the same queue.
@@ -555,6 +606,7 @@ fn responder_loop(shared: Arc<ZkShared>, mailbox: simio::net::Mailbox) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wdog_base::clock::ActorGuard;
 
     fn wait_for(pred: impl Fn() -> bool, what: &str) {
         let start = std::time::Instant::now();
@@ -615,6 +667,119 @@ mod tests {
             "snapshot records to arrive",
         );
         assert_eq!(cluster.followers()[1].get_data("/app/n3").unwrap(), b"data");
+    }
+
+    /// Boots a cluster on a fresh `SimClock` with the calling thread as its
+    /// first actor; retire the guard before dropping the cluster.
+    fn sim_cluster() -> (SharedClock, ActorGuard, Arc<SimDisk>, Cluster) {
+        let clock = simio::SimClock::shared();
+        let main = clock.actor("test-main").adopt();
+        let disk = SimDisk::new(
+            1 << 30,
+            simio::LatencyModel::new(20.0, 1),
+            Arc::clone(&clock),
+        );
+        let net = SimNet::new(simio::LatencyModel::new(30.0, 2), Arc::clone(&clock));
+        let cluster = Cluster::start(
+            ClusterConfig::default(),
+            Arc::clone(&clock),
+            Arc::clone(&disk),
+            net,
+        )
+        .unwrap();
+        (clock, main, disk, cluster)
+    }
+
+    fn nodes(n: usize) -> Vec<(String, Vec<u8>)> {
+        std::iter::once(("/wl".to_owned(), b"root".to_vec()))
+            .chain((0..n - 1).map(|k| (format!("/wl/n{k}"), format!("d{k}").into_bytes())))
+            .collect()
+    }
+
+    #[test]
+    fn pipelined_creates_group_commit_on_a_sim_clock() {
+        let (clock, main, disk, cluster) = sim_cluster();
+        let recorder = TraceRecorder::new(Arc::clone(&clock));
+        cluster.hooks().attach_trace(Arc::clone(&recorder));
+        let nodes = nodes(257);
+
+        let zxids: Vec<u64> = cluster
+            .create_all(nodes.clone())
+            .into_iter()
+            .map(|r| r.expect("every pipelined create succeeds"))
+            .collect();
+        assert!(
+            zxids.windows(2).all(|w| w[0] < w[1]),
+            "zxids rise in submission order: {zxids:?}"
+        );
+        let fired: Vec<u64> = recorder
+            .drain()
+            .into_iter()
+            .filter(|e| e.key == "request_processor_loop")
+            .map(|e| match e.kind {
+                TraceEventKind::Publish { fields } => fields
+                    .iter()
+                    .find(|(name, _)| name == "zxid")
+                    .and_then(|(_, v)| v.as_u64())
+                    .expect("txn hook publishes its zxid"),
+                TraceEventKind::Op { .. } => unreachable!("no checker is attached"),
+            })
+            .collect();
+        assert_eq!(fired, zxids, "one hook fire per txn, with its own zxid");
+        let syncs = disk.stats().syncs;
+        assert!(
+            syncs * 10 <= nodes.len() as u64,
+            "{syncs} txn-log fsyncs for {} creates: group commit is gone",
+            nodes.len()
+        );
+
+        for _ in 0..1000 {
+            if cluster
+                .followers()
+                .iter()
+                .all(|f| f.applied() >= nodes.len() as u64)
+            {
+                break;
+            }
+            clock.sleep(Duration::from_millis(1));
+        }
+        for f in cluster.followers() {
+            for (path, data) in &nodes {
+                assert_eq!(&f.get_data(path).unwrap(), data, "{} at {path}", f.addr);
+            }
+        }
+        cluster.request_stop();
+        main.retire();
+    }
+
+    #[test]
+    fn txnlog_error_fails_the_whole_batch_and_applies_nothing() {
+        use simio::disk::{DiskFault, DiskOpKind, FaultRule};
+        let (_clock, main, disk, cluster) = sim_cluster();
+        disk.inject(FaultRule::scoped(
+            "txnlog/",
+            vec![DiskOpKind::Write],
+            DiskFault::Error {
+                message: "bad sector".into(),
+            },
+        ));
+        let nodes = nodes(16);
+
+        let results = cluster.create_all(nodes.clone());
+        assert_eq!(results.len(), nodes.len());
+        for r in results {
+            assert!(
+                matches!(&r, Err(BaseError::Io(m)) if m.contains("bad sector")),
+                "every write of the batch fails with the disk error: {r:?}"
+            );
+        }
+        assert_eq!(disk.op_stats().write.calls, 1, "one append per batch");
+        assert_eq!(cluster.stats().writes_applied, 0);
+        for (path, _) in &nodes {
+            assert!(cluster.get_data(path).is_err(), "{path} was applied");
+        }
+        cluster.request_stop();
+        main.retire();
     }
 
     #[test]

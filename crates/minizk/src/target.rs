@@ -127,6 +127,27 @@ impl WatchdogTarget for ZkTarget {
     }
 }
 
+/// Pre-creates `/wl` and its `keys` children in one pipelined call, so the
+/// steady mix is pure set_data/get_data (creates of existing paths would
+/// count as spurious client failures), and returns that mix's request
+/// function.
+fn keyspace_requests(cluster: &Arc<Cluster>, keys: usize) -> RequestFn {
+    let nodes = std::iter::once(("/wl".to_owned(), b"root".to_vec()))
+        .chain((0..keys.max(1)).map(|k| (format!("/wl/n{k}"), b"initial".to_vec())));
+    let _ = cluster.create_all(nodes);
+    let cluster = Arc::clone(cluster);
+    Arc::new(move |ticket| {
+        let path = format!("/wl/n{}", ticket.key);
+        if ticket.write {
+            cluster
+                .set_data(&path, format!("v{}", ticket.value).as_bytes())
+                .map(|_| ())
+        } else {
+            cluster.get_data(&path).map(|_| ())
+        }
+    })
+}
+
 /// One booted minizk testbed.
 pub struct ZkInstance {
     clock: SharedClock,
@@ -158,48 +179,12 @@ impl TargetInstance for ZkInstance {
     }
 
     fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>) {
-        // Pre-create the key space so the steady mix is pure
-        // set_data/get_data (creates of existing paths would count as
-        // spurious client failures).
-        let _ = self.cluster.create("/wl", b"root");
-        for k in 0..profile.keys.max(1) {
-            let _ = self.cluster.create(&format!("/wl/n{k}"), b"initial");
-        }
-        let cluster = Arc::clone(&self.cluster);
-        self.workload = Some(spawn_workload_on(
-            &self.clock,
-            profile,
-            observer,
-            Arc::new(move |ticket| {
-                let path = format!("/wl/n{}", ticket.key);
-                if ticket.write {
-                    cluster
-                        .set_data(&path, format!("v{}", ticket.value).as_bytes())
-                        .map(|_| ())
-                } else {
-                    cluster.get_data(&path).map(|_| ())
-                }
-            }),
-        ));
+        let request = keyspace_requests(&self.cluster, profile.keys);
+        self.workload = Some(spawn_workload_on(&self.clock, profile, observer, request));
     }
 
     fn load_surface(&self, keys: usize) -> Option<RequestFn> {
-        // Pre-create the key space so the hot mix is pure set/get.
-        let _ = self.cluster.create("/wl", b"root");
-        for k in 0..keys.max(1) {
-            let _ = self.cluster.create(&format!("/wl/n{k}"), b"initial");
-        }
-        let cluster = Arc::clone(&self.cluster);
-        Some(Arc::new(move |ticket| {
-            let path = format!("/wl/n{}", ticket.key);
-            if ticket.write {
-                cluster
-                    .set_data(&path, format!("v{}", ticket.value).as_bytes())
-                    .map(|_| ())
-            } else {
-                cluster.get_data(&path).map(|_| ())
-            }
-        }))
+        Some(keyspace_requests(&self.cluster, keys))
     }
 
     fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {

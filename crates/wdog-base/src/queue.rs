@@ -105,6 +105,23 @@ impl<T> ClockedQueue<T> {
         }
     }
 
+    /// Dequeues a batch: waits on the clock up to `timeout` for a first
+    /// item like [`ClockedQueue::pop_timeout`], then takes whatever else is
+    /// already queued without waiting, up to `max` items in all, in FIFO
+    /// order. Returns an empty batch on timeout or when the queue is closed
+    /// and drained.
+    pub fn pop_batch(&self, timeout: Duration, max: usize) -> Vec<T> {
+        let Some(first) = self.pop_timeout(timeout) else {
+            return Vec::new();
+        };
+        let mut q = self.inner.queue.lock().unwrap();
+        let rest = q.len().min(max.saturating_sub(1));
+        let mut batch = Vec::with_capacity(1 + rest);
+        batch.push(first);
+        batch.extend(q.drain(..rest));
+        batch
+    }
+
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.inner.queue.lock().unwrap().len()
@@ -171,6 +188,29 @@ mod tests {
             q2.push(7).unwrap();
         });
         assert_eq!(q.pop_timeout(Duration::from_secs(2)), Some(7));
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn pop_batch_takes_queued_items_up_to_max_in_order() {
+        let q = ClockedQueue::unbounded(&RealClock::shared());
+        for i in 0..5 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(q.pop_batch(Duration::from_millis(10), 3), vec![0, 1, 2]);
+        assert_eq!(q.pop_batch(Duration::from_millis(10), 3), vec![3, 4]);
+        assert!(q.pop_batch(Duration::from_millis(10), 3).is_empty());
+    }
+
+    #[test]
+    fn pop_batch_waits_for_the_first_item() {
+        let q = ClockedQueue::unbounded(&RealClock::shared());
+        let q2 = q.clone();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            q2.push(7).unwrap();
+        });
+        assert_eq!(q.pop_batch(Duration::from_secs(2), 1000), vec![7]);
         t.join().unwrap();
     }
 

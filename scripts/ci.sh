@@ -136,11 +136,13 @@ done
 
 replay_corpus
 
+# --no-fail-fast: one failing test binary must not hide failures in the
+# binaries after it; cargo still exits non-zero if any test failed.
 echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release --offline
-cargo test --offline -q
+cargo test --offline -q --no-fail-fast
 
 echo "==> full workspace tests"
-cargo test --offline --workspace -q
+cargo test --offline --workspace -q --no-fail-fast
 
 echo "CI OK"

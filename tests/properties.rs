@@ -188,18 +188,58 @@ proptest! {
     }
 
     /// WAL replay returns exactly the appended records, regardless of
-    /// content (framing is content-agnostic).
+    /// content (framing is content-agnostic) and of how the records were
+    /// split into group-commit batches.
     #[test]
-    fn wal_replay_is_lossless(records in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..200), 0..20)
+    fn wal_replay_is_lossless(
+        records in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..200), 0..20),
+        splits in proptest::collection::vec(1usize..6, 0..20),
     ) {
         let disk = simio::disk::SimDisk::for_tests();
         let mut wal = kvs::wal::Wal::new(std::sync::Arc::clone(&disk), "wal/p");
-        for r in &records {
-            wal.append_record(r).unwrap();
+        let mut rest = records.as_slice();
+        for i in 0.. {
+            if rest.is_empty() {
+                break;
+            }
+            let n = splits.get(i).copied().unwrap_or(1).min(rest.len());
+            let (batch, tail) = rest.split_at(n);
+            wal.append_record(batch).unwrap();
+            rest = tail;
         }
         let replayed = kvs::wal::Wal::replay(&disk, "wal/p").unwrap();
         prop_assert_eq!(replayed, records);
+    }
+
+    /// A `CorruptWrites` fault on one WAL batch never replays as silently
+    /// different records: replay reports `Corruption`, or stops at the
+    /// batch as a torn tail and returns exactly the records before it.
+    #[test]
+    fn wal_corrupt_batch_never_replays_silently(
+        durable in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..64), 0..8),
+        batch in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..64), 1..8),
+    ) {
+        use simio::disk::{DiskFault, DiskOpKind, FaultRule};
+        let disk = simio::disk::SimDisk::for_tests();
+        let mut wal = kvs::wal::Wal::new(std::sync::Arc::clone(&disk), "wal/p");
+        wal.append_record(&durable).unwrap();
+        let fault = disk.inject(FaultRule::scoped(
+            "wal/",
+            vec![DiskOpKind::Write],
+            DiskFault::CorruptWrites,
+        ));
+        wal.append_record(&batch).unwrap();
+        disk.clear(fault);
+        match kvs::wal::Wal::replay(&disk, "wal/p") {
+            Ok(replayed) => prop_assert_eq!(replayed, durable),
+            Err(e) => prop_assert!(
+                matches!(e, wdog_base::error::BaseError::Corruption(_)),
+                "unexpected replay error {e:?}"
+            ),
+        }
     }
 
     /// SSTable write/read round-trips arbitrary sorted entries and the
