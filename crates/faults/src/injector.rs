@@ -234,7 +234,7 @@ impl Injector {
     /// Runs a spec on a helper thread: waits `start_after`, arms the fault,
     /// and clears it after `duration` if one is set. Returns the thread
     /// handle so experiments can join before tearing substrates down.
-    pub fn schedule(&self, spec: FaultSpec) -> BaseResult<std::thread::JoinHandle<()>> {
+    pub fn schedule(&self, spec: FaultSpec) -> BaseResult<wdog_base::Spawned<()>> {
         let clock = self
             .clock
             .clone()

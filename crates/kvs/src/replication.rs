@@ -60,7 +60,7 @@ pub(crate) fn replication_loop(
 pub struct Replica {
     index: MemIndex,
     running: Arc<std::sync::atomic::AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<wdog_base::Spawned<()>>,
     applied: Arc<std::sync::atomic::AtomicU64>,
 }
 

@@ -127,7 +127,7 @@ pub(crate) type RequestItem = (Request, ClockedQueue<Response>);
 pub struct KvsServer {
     shared: Arc<Shared>,
     request_q: ClockedQueue<RequestItem>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<wdog_base::Spawned<()>>,
 }
 
 impl KvsServer {

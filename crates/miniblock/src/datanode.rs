@@ -123,7 +123,7 @@ impl DnShared {
 pub struct DataNode {
     shared: Arc<DnShared>,
     config: DataNodeConfig,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<wdog_base::Spawned<()>>,
 }
 
 impl DataNode {

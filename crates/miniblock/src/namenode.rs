@@ -61,7 +61,7 @@ pub struct NameNode {
     clock: SharedClock,
     suspect_after: Duration,
     running: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<wdog_base::Spawned<()>>,
 }
 
 impl NameNode {

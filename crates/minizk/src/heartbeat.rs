@@ -27,7 +27,7 @@ pub struct HeartbeatProber {
     clock: SharedClock,
     suspect_after: Duration,
     running: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<wdog_base::Spawned<()>>,
 }
 
 impl HeartbeatProber {

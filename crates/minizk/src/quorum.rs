@@ -124,7 +124,7 @@ pub struct Follower {
     applied: Arc<AtomicU64>,
     snap_records: Arc<AtomicU64>,
     running: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<wdog_base::Spawned<()>>,
 }
 
 impl Follower {
@@ -222,7 +222,7 @@ pub struct Cluster {
     shared: Arc<ZkShared>,
     pipeline_q: ClockedQueue<PipelineItem>,
     followers: Vec<Follower>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<wdog_base::Spawned<()>>,
     client_timeout: Duration,
 }
 
@@ -414,7 +414,7 @@ impl Cluster {
     /// Starts a follower sync on a background thread: serializes the whole
     /// leader tree to `follower_idx` over the network, inside the
     /// write-serialization critical section.
-    pub fn sync_follower(&self, follower_idx: usize) -> std::thread::JoinHandle<BaseResult<u64>> {
+    pub fn sync_follower(&self, follower_idx: usize) -> wdog_base::Spawned<BaseResult<u64>> {
         let shared = Arc::clone(&self.shared);
         let target = self.followers[follower_idx].addr.clone();
         spawn_on(&self.shared.clock, "minizk-sync", move || {

@@ -127,7 +127,7 @@ impl Timeline {
 /// Join handle for a running [`Timeline`] thread.
 #[derive(Debug)]
 pub struct TimelineHandle {
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: Option<wdog_base::Spawned<()>>,
 }
 
 impl TimelineHandle {

@@ -87,8 +87,11 @@ struct State {
 /// monitor).
 fn render_state(st: &State) -> String {
     let mut out = format!(
-        "SimClock now={:?} steps={} running={:?}\n",
-        st.now, st.steps, st.running
+        "SimClock now={:?} steps={} running={:?} waiters={}\n",
+        st.now,
+        st.steps,
+        st.running,
+        st.waiters.len()
     );
     for (id, a) in &st.actors {
         out.push_str(&format!("  [{id}] {} {:?}\n", a.name, a.status));
@@ -563,6 +566,15 @@ impl Waiter for SimWaiter {
     }
 }
 
+impl Drop for SimWaiter {
+    /// Forgets the waiter's state. Nothing can be queued on it: a waiting
+    /// actor borrows the waiter for the whole wait, and clears its own
+    /// queue entry before returning.
+    fn drop(&mut self) {
+        self.core.state.lock().waiters.remove(&self.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,6 +699,44 @@ mod tests {
         main.retire();
         h.join().unwrap();
         assert_eq!(got.load(Ordering::SeqCst), 2);
+    }
+
+    /// The `waiters=N` field of the dump's header line.
+    fn live_waiters(clock: &SimClock) -> usize {
+        let dump = clock.dump();
+        let field = dump
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix("waiters="))
+            .expect("dump reports the waiter count");
+        field.parse().expect("waiter count is a number")
+    }
+
+    #[test]
+    fn dropped_waiters_leave_the_clock() {
+        use wdog_base::queue::ClockedQueue;
+
+        let sim = Arc::new(SimClock::new());
+        let clock: SharedClock = sim.clone();
+        let main = clock.actor("main").adopt();
+        let requests: ClockedQueue<(u64, ClockedQueue<u64>)> = ClockedQueue::unbounded(&clock);
+        let rx = requests.clone();
+        let server = spawn_on(&clock, "server", move || {
+            while let Some((n, reply)) = rx.pop_timeout(Duration::from_secs(1)) {
+                let _ = reply.push(n * 2);
+            }
+        });
+        let baseline = live_waiters(&sim);
+        // Every round trip builds a fresh reply queue, hence a fresh waiter.
+        for n in 0..500u64 {
+            let reply = ClockedQueue::unbounded(&clock);
+            let _ = requests.push((n, reply.clone()));
+            assert_eq!(reply.pop_timeout(Duration::from_secs(1)), Some(n * 2));
+        }
+        assert_eq!(live_waiters(&sim), baseline, "{}", sim.dump());
+        requests.close();
+        clock.sleep(Duration::from_secs(2));
+        main.retire();
+        server.join().unwrap();
     }
 
     #[test]

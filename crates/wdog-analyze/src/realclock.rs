@@ -64,7 +64,7 @@ pub fn real_clock_exemptions() -> Vec<RealClockExemption> {
         ),
         entry(
             "wdog-base/src/join.rs",
-            "teardown joins bound wedged OS threads in wall time, outside any virtual run",
+            "teardown joins wait on exit latches up to a wall-clock deadline, outside any virtual run",
         ),
         entry(
             "simio/src/vclock.rs",

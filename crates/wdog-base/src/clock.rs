@@ -11,6 +11,8 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::join::Spawned;
+
 /// A monotonic time source that can also block the caller.
 ///
 /// Implementations must be safe to share across threads. `now()` is expressed
@@ -243,19 +245,22 @@ impl std::fmt::Debug for ActorGuard {
 /// production thread that sleeps or waits on a clock must be spawned this
 /// way (or adopt a token itself); `wdog-lint --deny-real-clock` enforces
 /// the complementary rule that such threads never touch the real clock.
-pub fn spawn_on<F, T>(clock: &SharedClock, name: &str, f: F) -> std::thread::JoinHandle<T>
+///
+/// The returned [`Spawned`] carries an exit latch that opens once the
+/// thread has retired from `clock`, so teardown can join it with
+/// [`crate::join::join_timeout`] without polling.
+pub fn spawn_on<F, T>(clock: &SharedClock, name: &str, f: F) -> Spawned<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
     let token = clock.actor(name);
-    std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn(move || {
-            let _actor = token.adopt();
-            f()
-        })
-        .unwrap_or_else(|e| panic!("failed to spawn thread: {e}"))
+    let builder = std::thread::Builder::new().name(name.to_owned());
+    Spawned::spawn(builder, move || {
+        let _actor = token.adopt();
+        f()
+    })
+    .unwrap_or_else(|e| panic!("failed to spawn thread: {e}"))
 }
 
 /// A shareable handle to a [`Clock`].

@@ -30,7 +30,7 @@ pub use clock::{
 pub use error::{BaseError, BaseResult};
 pub use histogram::Histogram;
 pub use ids::{CheckerId, ComponentId, NodeId, OpId};
-pub use join::{join_all_timeout, join_timeout};
+pub use join::{join_all_timeout, join_timeout, Spawned};
 pub use lane::{thread_lane, thread_stripe, LaneCounter};
 pub use queue::ClockedQueue;
 pub use sync::{ClockedMutex, ClockedMutexGuard};

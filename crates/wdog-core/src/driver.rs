@@ -291,7 +291,7 @@ pub struct WatchdogDriver {
     stats: Arc<StatsInner>,
     telemetry: Option<Arc<TelemetryRegistry>>,
     shutdown: Arc<AtomicBool>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    scheduler: Option<wdog_base::Spawned<()>>,
     action_worker: Option<std::thread::JoinHandle<()>>,
 }
 

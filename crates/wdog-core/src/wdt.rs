@@ -45,7 +45,7 @@ struct TimerInner {
 /// A multi-stage countdown watchdog timer.
 pub struct WatchdogTimer {
     inner: Arc<TimerInner>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<wdog_base::Spawned<()>>,
 }
 
 impl WatchdogTimer {

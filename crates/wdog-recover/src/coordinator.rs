@@ -156,7 +156,7 @@ pub struct RecoveryCoordinator {
     tx: Sender<FailureReport>,
     shared: Arc<CoordShared>,
     clock: SharedClock,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    worker: Mutex<Option<wdog_base::Spawned<()>>>,
 }
 
 impl RecoveryCoordinator {

@@ -69,7 +69,7 @@ pub struct WorkloadHandle {
     ok: Arc<AtomicU64>,
     failed: Arc<AtomicU64>,
     running: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<wdog_base::Spawned<()>>,
 }
 
 impl WorkloadHandle {

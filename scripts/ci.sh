@@ -145,4 +145,10 @@ cargo test --offline -q --no-fail-fast
 echo "==> full workspace tests"
 cargo test --offline --workspace -q --no-fail-fast
 
+# perfbench is a package of its own outside the workspace, so the
+# workspace run above does not reach its unit tests (quantile ranks, span
+# self time, capacity selection).
+echo "==> perfbench unit tests"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"
