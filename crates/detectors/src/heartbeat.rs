@@ -8,7 +8,6 @@
 //! a closure answering "did the process beat?" — on its own thread and
 //! suspects the target after `suspect_after` without a beat.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,7 +15,7 @@ use parking_lot::Mutex;
 
 use wdog_base::clock::SharedClock;
 
-use crate::api::{Detector, Verdict};
+use crate::api::{Detector, Poller, Verdict};
 
 /// The liveness contract: returns `true` if the target beat this round.
 pub type BeatFn = Arc<dyn Fn() -> bool + Send + Sync>;
@@ -26,8 +25,7 @@ pub struct HeartbeatDetector {
     clock: SharedClock,
     suspect_after: Duration,
     last_beat: Arc<Mutex<Option<Duration>>>,
-    running: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    poller: Poller,
 }
 
 impl HeartbeatDetector {
@@ -40,29 +38,20 @@ impl HeartbeatDetector {
         beat: BeatFn,
     ) -> Self {
         let last_beat = Arc::new(Mutex::new(Some(clock.now())));
-        let running = Arc::new(AtomicBool::new(true));
-        let thread = {
-            let clock = Arc::clone(&clock);
+        let poller = {
+            let tick = Arc::clone(&clock);
             let last = Arc::clone(&last_beat);
-            let run = Arc::clone(&running);
-            std::thread::Builder::new()
-                .name("heartbeat-fd".into())
-                .spawn(move || {
-                    while run.load(Ordering::Relaxed) {
-                        if beat() {
-                            *last.lock() = Some(clock.now());
-                        }
-                        clock.sleep(interval);
-                    }
-                })
-                .expect("spawn heartbeat detector")
+            Poller::spawn(&clock, "heartbeat-fd", interval, move || {
+                if beat() {
+                    *last.lock() = Some(tick.now());
+                }
+            })
         };
         Self {
             clock,
             suspect_after,
             last_beat,
-            running,
-            thread: Some(thread),
+            poller,
         }
     }
 }
@@ -82,23 +71,19 @@ impl Detector for HeartbeatDetector {
         }
     }
 
-    fn stop(&mut self) {
-        self.running.store(false, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    fn request_stop(&self) {
+        self.poller.request_stop();
     }
-}
 
-impl Drop for HeartbeatDetector {
-    fn drop(&mut self) {
-        Detector::stop(self);
+    fn stop(&mut self) {
+        self.poller.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use wdog_base::clock::RealClock;
 
     #[test]

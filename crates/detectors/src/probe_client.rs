@@ -6,7 +6,7 @@
 //! consecutive probe failures. Like all API-level detection, it sees only
 //! what the API surface shows and localizes nothing.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use crate::api::{Detector, Verdict};
+use crate::api::{Detector, Poller, Verdict};
 
 /// The probe contract: one end-to-end request.
 pub type ProbeFn = Arc<dyn Fn() -> BaseResult<()> + Send + Sync>;
@@ -26,8 +26,7 @@ pub struct ExternalProbe {
     last_error: Arc<Mutex<Option<String>>>,
     fail_threshold: u64,
     probes: Arc<AtomicU64>,
-    running: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    poller: Poller,
 }
 
 impl ExternalProbe {
@@ -42,39 +41,30 @@ impl ExternalProbe {
         let consecutive_failures = Arc::new(AtomicU64::new(0));
         let last_error = Arc::new(Mutex::new(None));
         let probes = Arc::new(AtomicU64::new(0));
-        let running = Arc::new(AtomicBool::new(true));
-        let thread = {
+        let poller = {
             let fails = Arc::clone(&consecutive_failures);
             let last = Arc::clone(&last_error);
             let count = Arc::clone(&probes);
-            let run = Arc::clone(&running);
-            std::thread::Builder::new()
-                .name("external-probe".into())
-                .spawn(move || {
-                    while run.load(Ordering::Relaxed) {
-                        match probe() {
-                            Ok(()) => {
-                                fails.store(0, Ordering::Relaxed);
-                                *last.lock() = None;
-                            }
-                            Err(e) => {
-                                fails.fetch_add(1, Ordering::Relaxed);
-                                *last.lock() = Some(e.to_string());
-                            }
-                        }
-                        count.fetch_add(1, Ordering::Relaxed);
-                        clock.sleep(interval);
+            Poller::spawn(&clock, "external-probe", interval, move || {
+                match probe() {
+                    Ok(()) => {
+                        fails.store(0, Ordering::Relaxed);
+                        *last.lock() = None;
                     }
-                })
-                .expect("spawn external probe")
+                    Err(e) => {
+                        fails.fetch_add(1, Ordering::Relaxed);
+                        *last.lock() = Some(e.to_string());
+                    }
+                }
+                count.fetch_add(1, Ordering::Relaxed);
+            })
         };
         Self {
             consecutive_failures,
             last_error,
             fail_threshold: fail_threshold.max(1),
             probes,
-            running,
-            thread: Some(thread),
+            poller,
         }
     }
 
@@ -104,23 +94,19 @@ impl Detector for ExternalProbe {
         }
     }
 
-    fn stop(&mut self) {
-        self.running.store(false, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    fn request_stop(&self) {
+        self.poller.request_stop();
     }
-}
 
-impl Drop for ExternalProbe {
-    fn drop(&mut self) {
-        Detector::stop(self);
+    fn stop(&mut self) {
+        self.poller.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use wdog_base::clock::RealClock;
     use wdog_base::error::BaseError;
 

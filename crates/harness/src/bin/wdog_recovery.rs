@@ -3,31 +3,29 @@
 //!
 //! ```text
 //! wdog-recovery [--target {kvs|minizk|miniblock|all}] [--out DIR]
-//!               [--scenarios id,id,...] [--sim]
-//!               [--require-verified N]
+//!               [--scenarios id,id,...] [--require-verified N]
 //! ```
 //!
-//! `--scenarios` filters the catalogue by id; `--sim` runs every scenario
-//! on the discrete-event virtual clock (deterministic, load-independent,
-//! milliseconds of wall time — the CI mode); `--require-verified N` exits
-//! nonzero unless at least N scenarios (summed over targets) ended
-//! verified-recovered — the CI smoke gate.
+//! Every scenario runs on the discrete-event virtual clock, so the
+//! campaign is deterministic and load-independent. `--scenarios` filters
+//! the catalogue by id; `--require-verified N` exits nonzero unless at
+//! least N scenarios (summed over targets) ended verified-recovered — the
+//! CI smoke gate.
 
 use harness::cli::{CampaignCli, EXIT_GATE};
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR] \
-     [--scenarios id,id,...] [--sim] [--require-verified N]";
+     [--scenarios id,id,...] [--require-verified N]";
 
 fn main() {
     let cli = CampaignCli::parse(
         "wdog-recovery",
         USAGE,
         &["--scenarios", "--require-verified"],
-        &["--sim"],
+        &[],
     );
     let scenarios = cli.list("--scenarios");
     let require_verified: u64 = cli.parsed("--require-verified", 0);
-    let sim = cli.switch("--sim");
     let out = cli.out_dir();
 
     let mut verified_total = 0;
@@ -36,7 +34,6 @@ fn main() {
         let registry = wdog_telemetry::TelemetryRegistry::shared();
         let mut opts = harness::recovery::RecoveryOptions::default();
         opts.wd.telemetry = Some(std::sync::Arc::clone(&registry));
-        opts.sim = sim;
         match harness::recovery::run(target.as_ref(), scenarios.as_deref(), &opts) {
             Ok(campaign) => {
                 println!("{}", harness::recovery::render(&campaign));

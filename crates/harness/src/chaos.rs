@@ -22,12 +22,11 @@
 //! the campaign oracle at each step — down to a minimal [`Reproducer`]
 //! that `wdog-chaos --replay` reruns byte-for-byte.
 //!
-//! Everything in a [`ChaosReport`] is deterministic for a `(target, seed,
-//! schedules)` triple even on the real clock: schedule composition is a
-//! pure function of the seed, severities are bimodal (far over or far
-//! under every threshold), harmful durations span many checking rounds,
-//! and the report carries only robust facts — compositions and verdicts,
-//! never wall-clock latencies or report counts. Measured latencies go to
+//! Everything in a [`ChaosReport`] is byte-identical for a `(target, seed,
+//! schedules)` triple: schedule composition is a pure function of the
+//! seed, every schedule replays on a fresh discrete-event clock through
+//! the campaign [`Testbed`], and the report carries only compositions and
+//! verdicts, never latencies or report counts. Measured latencies go to
 //! the [`ChaosMetrics`] telemetry sidecar instead. Reports from signal
 //! checkers ([`is_signal_checker`]) are likewise measured, never scored:
 //! they watch real resource levels, so whether one trips depends on
@@ -42,14 +41,14 @@ use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::FaultKind;
 use faults::ArmedFault;
 use faults::Scenario;
-use simio::{KillScope, SimClock};
-use wdog_base::clock::Clock;
+use simio::KillScope;
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::ChaosMetrics;
 
 use crate::scenario::RunnerOptions;
+use crate::testbed::Testbed;
 
 /// Verdict labels (also the `chaos_verdicts_total` counter labels).
 pub const DETECTED: &str = "detected";
@@ -87,10 +86,10 @@ pub struct ChaosOptions {
     pub max_reproducers: usize,
     /// Telemetry sidecar for latencies and campaign counters.
     pub metrics: Option<ChaosMetrics>,
-    /// Run every schedule on a discrete-event [`SimClock`] instead of the
-    /// real clock: virtual time advances only when every actor is blocked,
-    /// so a full warmup + horizon + grace replay costs milliseconds of
-    /// wall time and the report is byte-identical by construction.
+    /// Ignored: every schedule replays on a fresh `SimClock` through the
+    /// campaign [`Testbed`]. The field stays only because the benchmark
+    /// package `perfbench/` still sets it; it goes with the next change to
+    /// that package.
     pub sim: bool,
 }
 
@@ -252,35 +251,23 @@ pub fn run_schedule(
 ) -> BaseResult<ScheduleOutcome> {
     schedule.validate().map_err(BaseError::InvalidState)?;
 
-    // Sim mode: the harness owns a discrete-event clock and registers
-    // itself as its first actor, so boot, fault arming, and observation
-    // all happen at deterministic virtual instants.
-    let mut main_guard = None;
-    let mut inst = if opts.sim {
-        let sim = Arc::new(SimClock::new());
-        main_guard = Some(sim.actor("chaos-main").adopt());
-        target.start_on(schedule.seed, sim)?
-    } else {
-        target.start(schedule.seed)?
-    };
-    let clock = inst.clock();
+    let mut bed = Testbed::boot(target, schedule.seed, "chaos-main")?;
+    let clock = Arc::clone(bed.clock());
     // The pool excludes crashes, so the crash hook never fires.
-    let injector = inst.injector(Arc::new(|| {}));
+    let injector = bed.rig.injector(Arc::new(|| {}));
 
     let mut wd = opts.wd.clone();
     if let Some(m) = &opts.metrics {
         wd.telemetry = Some(Arc::clone(m.registry()));
     }
-    let (mut driver, _plan) = inst.build_watchdog(&wd)?;
-    driver.start()?;
-
-    inst.start_workload(
+    bed.start(
+        &wd,
         &WorkloadProfile {
             seed: schedule.seed,
             ..opts.workload.clone()
         },
         None,
-    );
+    )?;
     clock.sleep(opts.warmup);
 
     // The schedule clock starts here; every onset is relative to it.
@@ -317,42 +304,14 @@ pub fn run_schedule(
 
     // Observe through the horizon plus a grace period so the last
     // checking rounds' reports land.
-    let deadline = run_start + schedule.horizon + opts.grace;
-    loop {
-        let now = clock.now();
-        if now >= deadline {
-            break;
-        }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
+    bed.observe(run_start + schedule.horizon + opts.grace, |_| false);
     timeline.join();
 
-    // Teardown: release every surface so wedged threads drain.
-    for a in armed.lock().unwrap().iter().flatten() {
-        injector.clear(a);
-    }
-    inst.clear_faults();
-    let reports = if let Some(guard) = main_guard.take() {
-        // Sim teardown: raise every stop flag and seal the report log at
-        // the frozen virtual instant — every loop observes the same stop
-        // time, and no report past the deadline can leak into scoring —
-        // then retire the harness actor so virtual time free-runs while
-        // the blocking joins drain.
-        inst.request_stop();
-        driver.request_stop();
-        let reports = driver.log().reports();
-        guard.retire();
-        inst.stop_workload();
-        driver.stop();
-        inst.teardown();
-        reports
-    } else {
-        inst.stop_workload();
-        driver.stop();
-        let reports = driver.log().reports();
-        inst.teardown();
-        reports
-    };
+    let (inst, reports) = bed.teardown(|| {
+        for a in armed.lock().unwrap().iter().flatten() {
+            injector.clear(a);
+        }
+    });
     if let Some(m) = &opts.metrics {
         if let Some((disk, net)) = inst.io_stats() {
             for (op, s) in disk.rows() {
@@ -605,9 +564,9 @@ pub fn run_campaign(target: &dyn WatchdogTarget, opts: &ChaosOptions) -> BaseRes
         let Some(schedule) = compose_schedule(&pool, opts.seed, index, &opts.compose) else {
             continue;
         };
-        // Sim sweeps run thousands of schedules; log every 100th instead
-        // of flooding stderr.
-        if !opts.sim || index % 100 == 0 || index + 1 == opts.schedules {
+        // Sweeps run thousands of schedules; log every 100th instead of
+        // flooding stderr.
+        if index % 100 == 0 || index + 1 == opts.schedules {
             eprintln!(
                 "[wdog-chaos] {} / {} ({} fault{}, {}) ...",
                 target.name(),

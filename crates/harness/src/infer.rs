@@ -25,8 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use simio::SimClock;
-use wdog_base::clock::Clock;
 use wdog_base::error::BaseResult;
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
@@ -34,6 +32,7 @@ use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, 
 use wdog_target::{WatchdogTarget, WorkloadProfile};
 
 use crate::chaos::{self, ChaosOptions, ChaosReport, DETECTED, MISSED};
+use crate::testbed::Testbed;
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -115,34 +114,30 @@ pub struct InferArtifact {
 
 /// Records one benign sim execution of `target` and returns its journal.
 ///
-/// The boot follows the chaos sim idiom: the harness adopts an actor on a
-/// fresh [`SimClock`] so boot, workload, and observation all happen at
-/// deterministic virtual instants, and teardown seals at a frozen instant
-/// before the blocking joins drain.
+/// The run boots through the campaign [`Testbed`], so boot, workload, and
+/// observation all happen at deterministic virtual instants, and teardown
+/// seals at a frozen instant before the blocking joins drain.
 pub fn record_journal(
     target: &dyn WatchdogTarget,
     seed: u64,
     label: &str,
     record_for: Duration,
 ) -> BaseResult<TraceJournal> {
-    let sim = Arc::new(SimClock::new());
-    let guard = sim.actor("infer-record").adopt();
-    let mut inst = target.start_on(seed, sim)?;
-    let clock = inst.clock();
+    let mut bed = Testbed::boot(target, seed, "infer-record")?;
+    let clock = Arc::clone(bed.clock());
     let recorder = TraceRecorder::new(Arc::clone(&clock));
 
     let base = ChaosOptions::default();
     let mut wd = base.wd.clone();
     wd.trace = Some(Arc::clone(&recorder));
-    let (mut driver, _plan) = inst.build_watchdog(&wd)?;
-    driver.start()?;
-    inst.start_workload(
+    bed.start(
+        &wd,
         &WorkloadProfile {
             seed,
             ..base.workload.clone()
         },
         None,
-    );
+    )?;
 
     let start = clock.now();
     let deadline = start + record_for;
@@ -152,28 +147,16 @@ pub fn record_journal(
     // journal give orderings and staleness something to hold onto.
     let marks = [start + record_for * 2 / 5, start + record_for * 7 / 10];
     let mut exercised = [false; 2];
-    loop {
-        let now = clock.now();
-        if now >= deadline {
-            break;
-        }
+    bed.observe(deadline, |now| {
         for (done, mark) in exercised.iter_mut().zip(marks) {
             if !*done && now >= mark {
-                inst.exercise_auxiliary();
+                bed.rig.exercise_auxiliary();
                 *done = true;
             }
         }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
-
-    // Frozen-time teardown: stop flags first, then retire the actor so
-    // virtual time free-runs while the joins drain.
-    inst.request_stop();
-    driver.request_stop();
-    guard.retire();
-    inst.stop_workload();
-    driver.stop();
-    inst.teardown();
+        false
+    });
+    bed.teardown(|| {});
 
     // Keep only the deterministic prefix. Everything before the deadline
     // ran at frozen virtual instants and replays identically under the
@@ -219,10 +202,7 @@ pub fn score_against_archive(
         .iter()
         .filter(|o| o.verdict == MISSED)
         .collect();
-    let mut copts = ChaosOptions {
-        sim: true,
-        ..ChaosOptions::default()
-    };
+    let mut copts = ChaosOptions::default();
     copts.wd.inferred = specs.to_vec();
 
     let mut score = InferScore {

@@ -12,6 +12,12 @@
 //! | [`chaos`] | randomized fault-schedule fuzzing of the checkers | `wdog-chaos` |
 //! | [`infer`] | trace-driven checker inference (record→mine→emit→score) | `wdog-infer` |
 //!
+//! Every campaign that runs scenarios or schedules against a target —
+//! chaos, recovery, inference, the scenario runner behind table1/table2/
+//! telemetry/E6b, and the ZK-2201 reproduction — boots on a fresh
+//! `SimClock` through one [`testbed::Testbed`], which also owns the
+//! frozen-time teardown.
+//!
 //! Each experiment returns a serde-serializable result struct; binaries
 //! print the paper-style table *and* write the raw JSON next to it (under
 //! `results/`) so EXPERIMENTS.md numbers are regenerable.
@@ -29,6 +35,7 @@ pub mod scenario;
 pub mod table1;
 pub mod table2;
 pub mod telemetry;
+pub mod testbed;
 pub mod zk2201;
 
 use wdog_target::WatchdogTarget;

@@ -22,6 +22,10 @@
 //! - **Runtime pause** self-clears and **process crash** is fail-stop; an
 //!   in-process coordinator can only shed or escalate those, and the
 //!   campaign records that honestly.
+//!
+//! Every scenario boots on a fresh `SimClock` through the campaign
+//! [`Testbed`]: boot, injection, the closed loop's waits, and the
+//! coordinator's pacing all happen at deterministic virtual instants.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,7 +35,6 @@ use serde::{Deserialize, Serialize};
 
 use faults::spec::FaultKind;
 use faults::Scenario;
-use simio::SimClock;
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
@@ -40,6 +43,7 @@ use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 
 use crate::fmt::Table;
 use crate::scenario::RunnerOptions;
+use crate::testbed::Testbed;
 
 /// Recovery-campaign knobs.
 #[derive(Debug, Clone)]
@@ -60,11 +64,6 @@ pub struct RecoveryOptions {
     pub workload: WorkloadProfile,
     /// Base seed.
     pub seed: u64,
-    /// Run every scenario on a discrete-event [`SimClock`] instead of the
-    /// real clock: boot, injection, the closed loop's waits, and the
-    /// coordinator's pacing all happen at deterministic virtual instants,
-    /// so the campaign is load-independent and replays in milliseconds.
-    pub sim: bool,
 }
 
 impl Default for RecoveryOptions {
@@ -80,7 +79,6 @@ impl Default for RecoveryOptions {
             max_wait: Duration::from_secs(12),
             workload: runner.workload,
             seed: 42,
-            sim: false,
         }
     }
 }
@@ -180,25 +178,15 @@ pub fn run_recovery_scenario(
     opts: &RecoveryOptions,
 ) -> BaseResult<ScenarioRecovery> {
     let seed = derive_seed(opts.seed, &scenario.id);
-    // Sim mode mirrors the chaos campaign: the harness registers itself
-    // as the discrete-event clock's first actor, so injection and the
-    // closed loop's waits land at deterministic virtual instants.
-    let mut main_guard = None;
-    let mut inst = if opts.sim {
-        let sim = Arc::new(SimClock::new());
-        main_guard = Some(sim.actor("recovery-main").adopt());
-        target.start_on(seed, sim)?
-    } else {
-        target.start(seed)?
-    };
-    let clock = inst.clock();
-    let surface = inst.recovery_surface().ok_or_else(|| {
+    let mut bed = Testbed::boot(target, seed, "recovery-main")?;
+    let clock = Arc::clone(bed.clock());
+    let surface = bed.rig.recovery_surface().ok_or_else(|| {
         BaseError::InvalidState(format!("{} exposes no recovery surface", target.name()))
     })?;
 
     let crashed = Arc::new(AtomicBool::new(false));
     let crash_flag = Arc::clone(&crashed);
-    let injector = inst.injector(Arc::new(move || {
+    let injector = bed.rig.injector(Arc::new(move || {
         crash_flag.store(true, Ordering::Relaxed);
     }));
 
@@ -209,22 +197,21 @@ pub fn run_recovery_scenario(
         coord_builder = coord_builder.telemetry(Arc::clone(t));
     }
     let coordinator = coord_builder.start();
+    bed.set_coordinator(Arc::clone(&coordinator));
     // Drivers are sealed at build: the coordinator rides in through the
     // options' action list instead of a post-hoc `add_action`.
     let mut wd_opts = opts.wd.clone();
     wd_opts
         .actions
         .push(Arc::clone(&coordinator) as Arc<dyn Action>);
-    let (mut driver, _plan) = inst.build_watchdog(&wd_opts)?;
-    driver.start()?;
-
-    inst.start_workload(
+    bed.start(
+        &wd_opts,
         &WorkloadProfile {
             seed,
             ..opts.workload.clone()
         },
         None,
-    );
+    )?;
     clock.sleep(opts.warmup);
 
     // Inject, hold, and (for substrate faults) heal the substrate.
@@ -242,39 +229,19 @@ pub fn run_recovery_scenario(
     // Wait for terminal: at least one closed incident and an idle
     // coordinator, bounded by `max_wait`. Crash runs keep generating
     // reports until flap damping pins the blamed components, so idleness
-    // (not silence) is the stop condition. Pacing on the instance clock
-    // keeps the wait virtual under `--sim`.
-    let deadline = clock.now() + opts.max_wait;
-    loop {
-        let incidents = coordinator.incidents();
-        if !incidents.is_empty() && coordinator.is_idle() {
-            break;
-        }
-        let now = clock.now();
-        if now >= deadline {
-            break;
-        }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
+    // (not silence) is the stop condition.
+    bed.observe(clock.now() + opts.max_wait, |_| {
+        !coordinator.incidents().is_empty() && coordinator.is_idle()
+    });
 
-    // Teardown.
-    injector.clear(&armed);
-    inst.clear_faults();
-    if let Some(guard) = main_guard.take() {
-        // Sim teardown: raise every stop flag at the frozen instant, then
-        // retire the harness actor so virtual time free-runs while the
-        // blocking joins drain.
-        inst.request_stop();
-        driver.request_stop();
-        guard.retire();
-    }
-    inst.stop_workload();
-    driver.stop();
+    // Idleness is scored at the frozen instant. The coordinator's stop
+    // flag rises with the others, so reports past it start no recovery;
+    // it drains what it holds and is joined before the instance.
+    let idle = coordinator.is_idle();
+    bed.teardown(|| injector.clear(&armed));
     if let Some(t) = &opts.wd.telemetry {
         t.disarm_fault();
     }
-    let idle = coordinator.wait_idle(Duration::from_secs(2));
-    coordinator.stop();
 
     let incidents = coordinator.incidents();
     let mttr_ms = incidents
@@ -308,7 +275,6 @@ pub fn run_recovery_scenario(
         coordinator_idle: idle,
         crashed: crashed.load(Ordering::Relaxed),
     };
-    inst.teardown();
     Ok(record)
 }
 
@@ -404,32 +370,12 @@ mod tests {
         assert!(!r.crashed, "the process must never restart");
         assert!(r.coordinator_idle, "coordinator must end idle");
         assert!(r.mttr_ms.is_some());
-    }
-
-    #[test]
-    fn sim_mode_recovers_the_stuck_task_deterministically() {
-        let target = KvsTarget;
-        let scenario = target
-            .catalog()
-            .into_iter()
-            .find(|s| s.id == "background-task-stuck")
-            .unwrap();
-        let opts = RecoveryOptions {
-            sim: true,
-            ..quick_opts()
-        };
-        let a = run_recovery_scenario(&target, &scenario, &opts).unwrap();
-        assert_eq!(
-            a.disposition, "verified-recovered",
-            "sim-mode closed loop must still recover the stuck task: {a:?}"
-        );
-        assert!(a.coordinator_idle);
         // Virtual time makes the whole trip deterministic, MTTR included.
-        let b = run_recovery_scenario(&target, &scenario, &opts).unwrap();
+        let again = run_recovery_scenario(&target, &scenario, &quick_opts()).unwrap();
         assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "sim-mode recovery diverged across same-seed runs"
+            serde_json::to_string(&r).unwrap(),
+            serde_json::to_string(&again).unwrap(),
+            "recovery diverged across same-seed runs"
         );
     }
 

@@ -10,6 +10,11 @@
 //! observation window and scores what each one said: detected or not, how
 //! fast, with what failure class, at what localization granularity, and
 //! whether the blame landed in the right place.
+//!
+//! Every run boots on a fresh `SimClock` through the campaign
+//! [`Testbed`], and the extrinsic detectors are actors of that clock, so a
+//! `(target, scenario, seed)` triple gives one [`ScenarioResult`],
+//! latencies included.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,12 +22,14 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub};
+use detectors::{ExternalProbe, HeartbeatDetector, ObserverHub};
 use faults::{ArmedFault, Scenario};
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadObserver, WorkloadProfile};
+
+use crate::testbed::Testbed;
 
 /// What one detector said about one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -138,55 +145,52 @@ pub fn run_scenario(
         .map(|s| s.id.clone())
         .unwrap_or_else(|| "control".into());
     let seed = derive_seed(opts.seed, &label);
-    let mut inst = target.start(seed)?;
-    let clock = inst.clock();
+    let mut bed = Testbed::boot(target, seed, "scenario-main")?;
+    let clock = Arc::clone(bed.clock());
 
     // Fault injection plumbing: the instance wires its own surfaces; the
     // runner only records whether the crash hook fired.
     let crashed = Arc::new(AtomicBool::new(false));
     let crash_flag = Arc::clone(&crashed);
-    let injector = inst.injector(Arc::new(move || {
+    let injector = bed.rig.injector(Arc::new(move || {
         crash_flag.store(true, Ordering::Relaxed);
     }));
 
-    // The intrinsic watchdog.
-    let (mut driver, _plan) = inst.build_watchdog(&opts.wd)?;
-    driver.start()?;
-
-    // Extrinsic baselines.
+    // Extrinsic baselines, fed by the steady workload's outcomes.
     let hub = ObserverHub::new(Arc::clone(&clock), Duration::from_secs(2), 8, 0.5);
-    let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
     if opts.extrinsic {
-        extrinsics.push(Box::new(HeartbeatDetector::start(
+        let heartbeat = HeartbeatDetector::start(
             Arc::clone(&clock),
             Duration::from_millis(50),
             Duration::from_millis(300),
-            inst.liveness_probe(),
-        )));
-        extrinsics.push(Box::new(ExternalProbe::start(
+            bed.rig.liveness_probe(),
+        );
+        let probe = ExternalProbe::start(
             Arc::clone(&clock),
             Duration::from_millis(100),
             2,
-            inst.api_probe(),
-        )));
-        extrinsics.push(Box::new(hub.clone()));
+            bed.rig.api_probe(),
+        );
+        bed.add_detector(Box::new(heartbeat));
+        bed.add_detector(Box::new(probe));
+        bed.add_detector(Box::new(hub.clone()));
     }
+    let observer: Option<WorkloadObserver> = opts
+        .extrinsic
+        .then(|| Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver);
 
-    // Steady workload feeding the observer hub.
-    let observer: Option<WorkloadObserver> = opts.extrinsic.then(|| {
-        let hub = hub.clone();
-        Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver
-    });
-    inst.start_workload(
+    // The intrinsic watchdog and the steady workload.
+    bed.start(
+        &opts.wd,
         &WorkloadProfile {
             seed,
             ..opts.workload.clone()
         },
         observer,
-    );
+    )?;
 
     clock.sleep(opts.warmup);
-    let errors_handled_before = inst.errors_handled();
+    let errors_handled_before = bed.rig.errors_handled();
 
     // Inject.
     let mut armed: Option<ArmedFault> = None;
@@ -205,45 +209,44 @@ pub fn run_scenario(
     }
 
     // Observe.
-    let mut extrinsic_first: Vec<Option<(u64, String)>> = vec![None; extrinsics.len()];
+    let mut extrinsic_first: Vec<Option<(u64, String)>> = vec![None; bed.detectors().len()];
     let mut handler_first: Option<u64> = None;
-    let deadline = clock.now() + opts.observe;
-    while clock.now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-        let now_ms = clock.now().saturating_sub(injected_at).as_millis() as u64;
-        for (i, d) in extrinsics.iter().enumerate() {
-            if extrinsic_first[i].is_none() {
+    bed.observe(injected_at + opts.observe, |now| {
+        let now_ms = now.saturating_sub(injected_at).as_millis() as u64;
+        for (first, d) in extrinsic_first.iter_mut().zip(bed.detectors()) {
+            if first.is_none() {
                 if let detectors::Verdict::Suspected { reason } = d.verdict() {
-                    extrinsic_first[i] = Some((now_ms, reason));
+                    *first = Some((now_ms, reason));
                 }
             }
         }
-        if handler_first.is_none() && inst.errors_handled() > errors_handled_before {
+        if handler_first.is_none() && bed.rig.errors_handled() > errors_handled_before {
             handler_first = Some(now_ms);
         }
-    }
+        false
+    });
+    let (workload_ok, workload_failed) = bed.rig.workload_counters();
+    let extrinsic_names: Vec<String> = bed
+        .detectors()
+        .iter()
+        .map(|d| d.name().to_owned())
+        .collect();
 
-    // Teardown: release everything so wedged threads drain.
-    if let Some(a) = &armed {
-        injector.clear(a);
-    }
-    inst.clear_faults();
-    inst.stop_workload();
-    driver.stop();
+    let (_inst, reports) = bed.teardown(|| {
+        if let Some(a) = &armed {
+            injector.clear(a);
+        }
+    });
     if let Some(t) = &opts.wd.telemetry {
         t.disarm_fault();
-    }
-    for d in &mut extrinsics {
-        d.stop();
     }
 
     // Score.
     let crash_run = crashed.load(Ordering::Relaxed);
     let mut outcomes = Vec::new();
-    for (i, d) in extrinsics.iter().enumerate() {
-        let first = &extrinsic_first[i];
+    for (name, first) in extrinsic_names.into_iter().zip(&extrinsic_first) {
         outcomes.push(DetectorOutcome {
-            detector: d.name().to_owned(),
+            detector: name,
             detected: first.is_some(),
             latency_ms: first.as_ref().map(|(ms, _)| *ms),
             class: None,
@@ -275,7 +278,6 @@ pub fn run_scenario(
     // reports in the window (operators see every report, so the most
     // precise, correctly-blamed one is what diagnosis would use).
     let injected_at_ms = injected_at.as_millis() as u64;
-    let reports = driver.log().reports();
     let in_window: Vec<_> = reports
         .iter()
         .filter(|r| r.at_ms >= injected_at_ms || scenario.is_none())
@@ -335,8 +337,6 @@ pub fn run_scenario(
     };
     outcomes.push(wd_outcome);
 
-    let (workload_ok, workload_failed) = inst.workload_counters();
-    inst.teardown();
     Ok(ScenarioResult {
         scenario: label,
         expected_class: scenario

@@ -96,10 +96,30 @@ pub fn render(result: &Table1Result) -> String {
     out
 }
 
+/// Gray-failure cells, as `(target, scenario)`, that the watchdog detects
+/// but blames on the wrong component; each has an open ROADMAP item.
+///
+/// kvs state-corruption: the `handle_request#index_put` mimic replays the
+/// listener's last `probe_val`, which is empty after a GET or DEL and reads
+/// back unchanged under the corruption toggle, so only the `kvs.api` probe
+/// sees the corruption.
+const KNOWN_MISBLAMES: &[(&str, &str)] = &[("kvs", "state-corruption")];
+
 /// Checks the paper-shape expectations on a result set; returns a list of
 /// violated expectations (empty = shape holds).
 pub fn shape_violations(result: &Table1Result) -> Vec<String> {
     let mut v = Vec::new();
+    for r in &result.rows {
+        let wd = r.outcome("watchdog");
+        let misblamed = wd.is_some_and(|o| o.detected && o.correct_blame == Some(false));
+        let known = KNOWN_MISBLAMES.contains(&(result.target.as_str(), r.scenario.as_str()));
+        if misblamed && !known {
+            v.push(format!(
+                "watchdog blamed the wrong component for {}",
+                r.scenario
+            ));
+        }
+    }
     let gray_detected_by_watchdog = result
         .rows
         .iter()

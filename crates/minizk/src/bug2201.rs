@@ -10,6 +10,10 @@
 //! - the **generated watchdog** reports `Stuck`, pinpointed at
 //!   `serialize_node [write_record]` with the blocked node path as concrete
 //!   context, within seconds (the paper reports ~7 s with its configuration).
+//!
+//! [`Bug2201`] is the rig; the clock, the watchdog's lifecycle, and the
+//! observation loop belong to the caller, so the reproduction runs on the
+//! same virtual-time testbed as every other campaign.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,10 +24,12 @@ use serde::{Deserialize, Serialize};
 use simio::disk::SimDisk;
 use simio::net::{LinkRule, NetFault, SimNet};
 
-use wdog_base::clock::{RealClock, SharedClock};
+use wdog_base::clock::{spawn_on, SharedClock};
 use wdog_base::error::BaseResult;
+use wdog_base::join::{join_timeout, Spawned};
 
 use wdog_core::prelude::*;
+use wdog_target::Rig;
 
 use crate::heartbeat::HeartbeatProber;
 use crate::quorum::{follower_addr, Cluster, ClusterConfig, LEADER_ADDR};
@@ -81,13 +87,38 @@ pub struct Bug2201Report {
     pub reads_ok_during: bool,
 }
 
-/// Orchestrates the scenario.
-pub struct Bug2201;
+/// Write outcomes and detector samples, shared with the workload thread.
+/// Every flag starts `false`: no fault, no stop, nothing seen red.
+#[derive(Debug, Default)]
+struct Tally {
+    writes_before: AtomicU64,
+    writes_during: AtomicU64,
+    write_timeouts: AtomicU64,
+    fault_active: AtomicBool,
+    stopping: AtomicBool,
+    heartbeat_red: AtomicBool,
+    ruok_red: AtomicBool,
+    reads_failed: AtomicBool,
+}
+
+/// The booted scenario: a healthy cluster with its tree populated and the
+/// heartbeat prober running. The caller owns the clock and the watchdog
+/// driver and steps the rig through workload, injection, sampling, and
+/// teardown (`harness::zk2201` does so on the campaign testbed).
+pub struct Bug2201 {
+    clock: SharedClock,
+    net: SimNet,
+    cluster: Arc<Cluster>,
+    prober: HeartbeatProber,
+    opts: Bug2201Options,
+    tally: Arc<Tally>,
+    workload: Option<Spawned<()>>,
+}
 
 impl Bug2201 {
-    /// Runs the scenario end to end and returns the measurements.
-    pub fn run(opts: &Bug2201Options) -> BaseResult<Bug2201Report> {
-        let clock: SharedClock = RealClock::shared();
+    /// Boots the cluster on `clock`, populates `/app`, and starts the
+    /// extrinsic heartbeat prober.
+    pub fn boot(clock: SharedClock, opts: &Bug2201Options) -> BaseResult<Self> {
         let net = SimNet::new(simio::LatencyModel::new(50.0, 2201), Arc::clone(&clock));
         let disk = SimDisk::new(
             1 << 30,
@@ -103,25 +134,10 @@ impl Bug2201 {
             disk,
             net.clone(),
         )?);
-
-        // Populate the tree.
         cluster.create("/app", b"root")?;
         for i in 0..opts.tree_size {
             cluster.create(&format!("/app/n{i}"), b"initial")?;
         }
-
-        // Watchdog.
-        let (mut driver, _plan) = build_watchdog(
-            &cluster,
-            &ZkWdOptions {
-                interval: opts.checker_interval,
-                checker_timeout: opts.checker_timeout,
-                ..default_zk_options()
-            },
-        )?;
-        driver.start()?;
-
-        // Extrinsic heartbeat detector.
         let prober = HeartbeatProber::start(
             net.clone(),
             Arc::clone(&clock),
@@ -129,174 +145,129 @@ impl Bug2201 {
             Duration::from_millis(200),
             Duration::from_secs(1),
         );
+        Ok(Self {
+            clock,
+            net,
+            cluster,
+            prober,
+            opts: opts.clone(),
+            tally: Arc::default(),
+            workload: None,
+        })
+    }
 
-        // Steady write workload.
-        let writes_before = Arc::new(AtomicU64::new(0));
-        let writes_during = Arc::new(AtomicU64::new(0));
-        let write_timeouts = Arc::new(AtomicU64::new(0));
-        let fault_active = Arc::new(AtomicBool::new(false));
-        let workload_running = Arc::new(AtomicBool::new(true));
-        let workload = {
-            let cluster = Arc::clone(&cluster);
-            let before = Arc::clone(&writes_before);
-            let during = Arc::clone(&writes_during);
-            let timeouts = Arc::clone(&write_timeouts);
-            let active = Arc::clone(&fault_active);
-            let running = Arc::clone(&workload_running);
-            let period = opts.write_period;
-            let tree_size = opts.tree_size;
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while running.load(Ordering::Relaxed) {
-                    let path = format!("/app/n{}", i % tree_size as u64);
-                    match cluster.set_data(&path, format!("v{i}").as_bytes()) {
-                        Ok(_) => {
-                            if active.load(Ordering::Relaxed) {
-                                during.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                before.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            if active.load(Ordering::Relaxed) {
-                                timeouts.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    i += 1;
-                    std::thread::sleep(period);
-                }
-            })
-        };
+    /// Builds the generated watchdog at the scenario's interval and
+    /// checker timeout (not started).
+    pub fn build_watchdog(&self) -> BaseResult<WatchdogDriver> {
+        let (driver, _plan) = build_watchdog(
+            &self.cluster,
+            &ZkWdOptions {
+                interval: self.opts.checker_interval,
+                checker_timeout: self.opts.checker_timeout,
+                ..default_zk_options()
+            },
+        )?;
+        Ok(driver)
+    }
 
-        // Warm up, then inject: wedge the leader → follower-1 link and
-        // start the sync that will block inside the critical section.
-        std::thread::sleep(Duration::from_secs(1));
-        net.inject(LinkRule::link(
+    /// Starts the steady write workload on its own clock actor.
+    pub fn start_workload(&mut self) {
+        let cluster = Arc::clone(&self.cluster);
+        let tally = Arc::clone(&self.tally);
+        let clock = Arc::clone(&self.clock);
+        let period = self.opts.write_period;
+        let tree_size = self.opts.tree_size.max(1) as u64;
+        self.workload = Some(spawn_on(&self.clock, "zk2201-writer", move || {
+            let mut i = 0u64;
+            while !tally.stopping.load(Ordering::Relaxed) {
+                let path = format!("/app/n{}", i % tree_size);
+                let active = tally.fault_active.load(Ordering::Relaxed);
+                match cluster.set_data(&path, format!("v{i}").as_bytes()) {
+                    Ok(_) if active => tally.writes_during.fetch_add(1, Ordering::Relaxed),
+                    Ok(_) => tally.writes_before.fetch_add(1, Ordering::Relaxed),
+                    Err(_) if active => tally.write_timeouts.fetch_add(1, Ordering::Relaxed),
+                    Err(_) => 0,
+                };
+                i += 1;
+                clock.sleep(period);
+            }
+        }));
+    }
+
+    /// The fault: wedges the leader → follower-1 link and starts the sync
+    /// that blocks inside the write-serialization critical section.
+    pub fn inject(&self) {
+        self.net.inject(LinkRule::link(
             LEADER_ADDR,
             follower_addr(1),
             NetFault::BlockSend,
         ));
-        fault_active.store(true, Ordering::Relaxed);
-        let injected_at = clock.now();
-        let _sync = cluster.sync_follower(1);
+        self.tally.fault_active.store(true, Ordering::Relaxed);
+        // Fire-and-forget: the sync runs on its own clock actor and drains
+        // once teardown clears the link.
+        drop(self.cluster.sync_follower(1));
+    }
 
-        // Observe.
-        let mut heartbeat_green = true;
-        let mut ruok_green = true;
-        let mut reads_ok = true;
-        let mut detection: Option<(u64, FailureReport)> = None;
-        let deadline = clock.now() + opts.observe_for;
-        while clock.now() < deadline {
-            std::thread::sleep(Duration::from_millis(100));
-            if !prober.leader_healthy() {
-                heartbeat_green = false;
-            }
-            if cluster.admin_ruok() != "imok" {
-                ruok_green = false;
-            }
-            if cluster.get_data("/app").is_err() {
-                reads_ok = false;
-            }
-            {
-                // First stuck report fixes the detection latency; the
-                // pinpoint upgrades to the snapshot-region report if one
-                // arrives later in the window (several checkers share the
-                // wedged link, and any of them may fire first).
-                let reports = driver.log().reports();
-                let in_region = |r: &FailureReport| {
-                    let loc = r.location.to_string();
-                    loc.contains("serialize_node") || loc.contains("tree_write_lock")
-                };
-                match &mut detection {
-                    None => {
-                        if let Some(r) = reports.iter().find(|r| r.kind == FailureKind::Stuck) {
-                            let latency =
-                                clock.now().saturating_sub(injected_at).as_millis() as u64;
-                            let best = reports
-                                .iter()
-                                .filter(|r| r.kind == FailureKind::Stuck)
-                                .find(|r| in_region(r))
-                                .unwrap_or(r);
-                            detection = Some((latency, best.clone()));
-                        }
-                    }
-                    Some((_, current)) if !in_region(current) => {
-                        if let Some(better) = reports
-                            .iter()
-                            .filter(|r| r.kind == FailureKind::Stuck)
-                            .find(|r| in_region(r))
-                        {
-                            *current = better.clone();
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
+    /// Takes one sample of the extrinsic views: heartbeat, `ruok`, reads.
+    pub fn sample(&self) {
+        let t = &self.tally;
+        if !self.prober.leader_healthy() {
+            t.heartbeat_red.store(true, Ordering::Relaxed);
         }
+        if self.cluster.admin_ruok() != "imok" {
+            t.ruok_red.store(true, Ordering::Relaxed);
+        }
+        if self.cluster.get_data("/app").is_err() {
+            t.reads_failed.store(true, Ordering::Relaxed);
+        }
+    }
 
-        // Teardown: clear the fault so wedged threads drain, then stop.
-        net.clear_all();
-        workload_running.store(false, Ordering::Relaxed);
-        let _ = workload.join();
-        driver.stop();
-
+    /// Packages the measurements. `detection` is the watchdog's detection
+    /// latency in milliseconds with the report that pinpoints it.
+    pub fn report(&self, detection: Option<(u64, FailureReport)>) -> Bug2201Report {
+        let t = &self.tally;
         let (watchdog_detection_ms, pinpoint, payload) = match detection {
             Some((ms, r)) => (Some(ms), Some(r.location.to_string()), r.payload),
             None => (None, None, Vec::new()),
         };
-        Ok(Bug2201Report {
+        Bug2201Report {
             watchdog_detection_ms,
             pinpoint,
             payload,
-            heartbeat_green_throughout: heartbeat_green,
-            ruok_green_throughout: ruok_green,
-            writes_before: writes_before.load(Ordering::Relaxed),
-            writes_during: writes_during.load(Ordering::Relaxed),
-            write_timeouts: write_timeouts.load(Ordering::Relaxed),
-            reads_ok_during: reads_ok,
-        })
+            heartbeat_green_throughout: !t.heartbeat_red.load(Ordering::Relaxed),
+            ruok_green_throughout: !t.ruok_red.load(Ordering::Relaxed),
+            writes_before: t.writes_before.load(Ordering::Relaxed),
+            writes_during: t.writes_during.load(Ordering::Relaxed),
+            write_timeouts: t.write_timeouts.load(Ordering::Relaxed),
+            reads_ok_during: !t.reads_failed.load(Ordering::Relaxed),
+        }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+impl Rig for Bug2201 {
+    /// Clears the wedged link so blocked threads drain.
+    fn clear_faults(&self) {
+        self.net.clear_all();
+    }
 
-    /// The full §4.2 reproduction, scaled down for test time: the watchdog
-    /// detects within seconds while heartbeat and ruok stay green.
-    #[test]
-    fn reproduces_the_gray_failure() {
-        let report = Bug2201::run(&Bug2201Options {
-            checker_interval: Duration::from_millis(300),
-            checker_timeout: Duration::from_millis(600),
-            observe_for: Duration::from_secs(5),
-            tree_size: 10,
-            write_period: Duration::from_millis(30),
-        })
-        .unwrap();
+    /// Raises every stop flag — workload, prober, cluster — without
+    /// joining anything.
+    fn request_stop(&self) {
+        self.tally.stopping.store(true, Ordering::Relaxed);
+        self.prober.request_stop();
+        self.cluster.request_stop();
+    }
 
-        assert!(report.writes_before > 0, "workload never got going");
-        assert!(
-            report.write_timeouts > 0,
-            "writes kept succeeding — failure not induced: {report:#?}"
-        );
-        assert!(report.reads_ok_during, "reads failed; failure is not gray");
-        assert!(
-            report.heartbeat_green_throughout,
-            "heartbeat suspected the leader — extrinsic detector should stay green"
-        );
-        assert!(report.ruok_green_throughout, "ruok went red");
-        let ms = report
-            .watchdog_detection_ms
-            .expect("watchdog never detected the hang");
-        assert!(ms < 4_000, "detection too slow: {ms} ms");
-        let pin = report.pinpoint.unwrap();
-        assert!(
-            pin.contains("serialize_node")
-                || pin.contains("tree_write_lock")
-                || pin.contains("final_apply"),
-            "pinpoint {pin} not in the wedged code region"
-        );
+    /// Joins the workload thread.
+    fn stop_workload(&mut self) {
+        if let Some(w) = self.workload.take() {
+            join_timeout(w, Duration::from_millis(500));
+        }
+    }
+
+    /// Joins the prober; the cluster's threads are joined when the rig
+    /// drops.
+    fn teardown(&mut self) {
+        self.prober.stop();
     }
 }

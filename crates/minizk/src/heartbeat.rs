@@ -124,9 +124,14 @@ impl HeartbeatProber {
         )
     }
 
+    /// Raises the stop flag without joining (virtual-time teardown).
+    pub fn request_stop(&self) {
+        self.running.store(false, Ordering::Relaxed);
+    }
+
     /// Stops the prober threads.
     pub fn stop(&mut self) {
-        self.running.store(false, Ordering::Relaxed);
+        self.request_stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

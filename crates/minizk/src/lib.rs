@@ -22,7 +22,7 @@
 //! - [`heartbeat`]: the leader's ping protocol plus the `ruok`/`imok` admin
 //!   probe — the two detectors that stay green throughout the failure;
 //! - [`wd`]: the AutoWatchdog integration (IR, op table, assembly);
-//! - [`bug2201`]: the packaged scenario used by experiment E4.
+//! - [`bug2201`]: the packaged scenario rig used by experiment E4.
 
 pub mod bug2201;
 pub mod datatree;

@@ -144,7 +144,7 @@ struct MailboxInner {
     queue: Mutex<Queue>,
     /// Clock-aware wakeup: senders notify, receivers wait on *clock* time —
     /// a raw condvar here would be invisible to a virtual clock and would
-    /// turn every `recv_timeout` into a real-time stall under `--sim`.
+    /// turn every `recv_timeout` into a real-time stall in a simulated run.
     waiter: Arc<dyn Waiter>,
 }
 

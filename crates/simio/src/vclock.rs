@@ -1,4 +1,4 @@
-//! The discrete-event virtual clock behind `wdog-chaos --sim`.
+//! The discrete-event virtual clock every harness campaign runs on.
 //!
 //! [`SimClock`] implements [`wdog_base::Clock`] with time that never flows
 //! on its own. Threads participating in a simulated run register as named
@@ -335,18 +335,6 @@ impl SimClock {
     /// clock cannot see.
     pub fn dump(&self) -> String {
         render_state(&self.core.state.lock())
-    }
-
-    /// Names of the currently registered actors, in registration order —
-    /// for diagnostics and tests.
-    pub fn actor_names(&self) -> Vec<String> {
-        self.core
-            .state
-            .lock()
-            .actors
-            .values()
-            .map(|a| a.name.clone())
-            .collect()
     }
 }
 

@@ -74,10 +74,6 @@ pub fn real_clock_exemptions() -> Vec<RealClockExemption> {
             "wdog-core/src/hooks.rs",
             "the telemetry sidecar's sampled hook-fire probe measures real overhead by design",
         ),
-        entry(
-            "minizk/src/bug2201.rs",
-            "the standalone ZK-2201 demo reproduces the bug on real threads, outside campaigns",
-        ),
     ]
 }
 
@@ -196,7 +192,7 @@ pub fn scan_real_clock(base: &Path, roots: &[&str]) -> std::io::Result<RealClock
 
 /// The production crate roots the lint covers: everything that can run
 /// inside a virtual-time campaign.
-pub const REAL_CLOCK_ROOTS: [&str; 9] = [
+pub const REAL_CLOCK_ROOTS: [&str; 10] = [
     "crates/wdog-base/src",
     "crates/simio/src",
     "crates/wdog-core/src",
@@ -206,6 +202,7 @@ pub const REAL_CLOCK_ROOTS: [&str; 9] = [
     "crates/kvs/src",
     "crates/minizk/src",
     "crates/miniblock/src",
+    "crates/detectors/src",
 ];
 
 #[cfg(test)]

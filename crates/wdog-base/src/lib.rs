@@ -8,13 +8,10 @@
 //! - [`ids`]: cheap, copyable identifiers used across crates.
 //! - [`error`]: the workspace-wide error vocabulary.
 //! - [`rng`]: deterministic, seedable random number helpers.
-//! - [`histogram`]: a fixed-memory latency histogram used by benchmarks and
-//!   experiment harnesses.
 
 pub mod checksum;
 pub mod clock;
 pub mod error;
-pub mod histogram;
 pub mod ids;
 pub mod join;
 pub mod lane;
@@ -28,7 +25,6 @@ pub use clock::{
     VirtualClock, Waiter,
 };
 pub use error::{BaseError, BaseResult};
-pub use histogram::Histogram;
 pub use ids::{CheckerId, ComponentId, NodeId, OpId};
 pub use join::{join_all_timeout, join_timeout, Spawned};
 pub use lane::{thread_lane, thread_stripe, LaneCounter};

@@ -215,9 +215,15 @@ impl RecoveryCoordinator {
         self.is_idle()
     }
 
+    /// Raises the stop flag without blocking: reports arriving from now on
+    /// are ignored, and the worker exits once its queue is drained.
+    pub fn request_stop(&self) {
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+    }
+
     /// Stops the worker after it finishes the incident in hand.
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.request_stop();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }

@@ -314,6 +314,37 @@ pub trait TargetInstance: Send {
     fn teardown(&mut self);
 }
 
+/// A booted system a campaign testbed tears down: a [`TargetInstance`],
+/// or a packaged reproduction rig that is not one.
+pub trait Rig {
+    /// Clears every fault surface so wedged threads can drain.
+    fn clear_faults(&self);
+    /// Raises every stop flag without blocking.
+    fn request_stop(&self);
+    /// Stops and joins the workload.
+    fn stop_workload(&mut self);
+    /// Joins whatever the system still runs.
+    fn teardown(&mut self);
+}
+
+impl Rig for Box<dyn TargetInstance> {
+    fn clear_faults(&self) {
+        self.as_ref().clear_faults();
+    }
+
+    fn request_stop(&self) {
+        self.as_ref().request_stop();
+    }
+
+    fn stop_workload(&mut self) {
+        self.as_mut().stop_workload();
+    }
+
+    fn teardown(&mut self) {
+        self.as_mut().teardown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,8 @@
 
 use std::time::Duration;
 
-use watchdogs::minizk::bug2201::{Bug2201, Bug2201Options};
+use watchdogs::harness::zk2201;
+use watchdogs::minizk::bug2201::Bug2201Options;
 
 fn main() {
     println!("reproducing ZOOKEEPER-2201 on minizk ...\n");
@@ -21,7 +22,7 @@ fn main() {
         tree_size: 20,
         write_period: Duration::from_millis(40),
     };
-    let report = Bug2201::run(&opts).expect("scenario");
+    let report = zk2201::run_with(&opts).expect("scenario").report;
 
     println!(
         "workload:   {} writes succeeded before the fault",

@@ -49,6 +49,23 @@ fn gray_disk_fault_watchdog_detects_heartbeat_does_not() {
     assert!(!hb.detected, "heartbeat detected a gray failure");
 }
 
+/// Every scenario run boots on a fresh virtual clock, extrinsic detectors
+/// included, so the same scenario and seed give the same record twice —
+/// latencies, blame, and workload counts alike.
+#[test]
+fn scenario_results_are_byte_identical_across_runs() {
+    let opts = quick_opts();
+    assert!(opts.extrinsic);
+    let stuck = scenario("partial-disk-stuck");
+    let first = run_scenario(&KvsTarget, Some(&stuck), &opts).unwrap();
+    let second = run_scenario(&KvsTarget, Some(&stuck), &opts).unwrap();
+    assert_eq!(
+        serde_json::to_string(&first).unwrap(),
+        serde_json::to_string(&second).unwrap(),
+        "same-seed scenario runs diverged"
+    );
+}
+
 #[test]
 fn crash_heartbeat_detects_watchdog_dies_with_process() {
     let result = run_scenario(&KvsTarget, Some(&scenario("process-crash")), &quick_opts()).unwrap();

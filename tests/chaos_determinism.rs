@@ -1,6 +1,6 @@
 //! The chaos campaign's central reproducibility contract, now *by
-//! construction*: under `--sim` every schedule replays on a discrete-event
-//! [`SimClock`], where the clock owns all interleaving decisions and time
+//! construction*: every schedule replays on a discrete-event `SimClock`,
+//! where the clock owns all interleaving decisions and time
 //! advances only when every actor is blocked. The same `(target, seed,
 //! schedules)` triple must therefore produce a byte-identical
 //! [`ChaosReport`] on the **first attempt** — there is no retry budget
@@ -24,14 +24,13 @@ use kvs::target::KvsTarget;
 
 /// A small-but-representative campaign: four schedules cover single
 /// faults, an overlapping pair (statistically), and one benign near-miss
-/// (index 3 under the default benign cadence). Sim mode replays the full
-/// warmup + horizon + grace span in milliseconds of wall time.
+/// (index 3 under the default benign cadence). Virtual time replays the
+/// full warmup + horizon + grace span in milliseconds of wall time.
 fn quick_opts() -> ChaosOptions {
     let mut opts = ChaosOptions {
         seed: 1042,
         schedules: 4,
         warmup: Duration::from_millis(400),
-        sim: true,
         ..ChaosOptions::default()
     };
     opts.compose.horizon = Duration::from_millis(1_800);
@@ -48,7 +47,7 @@ fn same_seed_is_byte_identical_first_attempt_and_different_seeds_diverge() {
     let b = serde_json::to_string_pretty(&run_campaign(&target, &opts).unwrap()).unwrap();
     assert_eq!(
         a, b,
-        "sim-mode chaos reports diverged across same-seed runs — the \
+        "chaos reports diverged across same-seed runs — the \
          virtual clock leaked nondeterminism"
     );
 
@@ -110,10 +109,10 @@ proptest! {
     }
 }
 
-/// Every archived reproducer must reach its recorded verdict under
-/// `--sim`: the corpus was minted on the real clock, and the virtual clock
-/// must tell the same story about each of these schedules, or the sim is
-/// not simulating the system we shipped.
+/// Every archived reproducer must reach its recorded verdict on the
+/// virtual clock: the corpus was minted on the real clock, and the virtual
+/// clock must tell the same story about each of these schedules, or the
+/// sim is not simulating the system we shipped.
 #[test]
 fn chaos_corpus_replays_to_recorded_verdicts_under_sim() {
     let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
@@ -130,11 +129,8 @@ fn chaos_corpus_replays_to_recorded_verdicts_under_sim() {
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let targets = harness::select_targets(&rep.target)
             .unwrap_or_else(|| panic!("{path:?} names unknown target {:?}", rep.target));
-        let opts = ChaosOptions {
-            sim: true,
-            ..ChaosOptions::default()
-        };
-        let (outcome, matches) = replay(targets[0].as_ref(), &rep, &opts).unwrap();
+        let (outcome, matches) =
+            replay(targets[0].as_ref(), &rep, &ChaosOptions::default()).unwrap();
         assert!(
             matches,
             "{}: sim replay reached {:?}, corpus records {:?}",

@@ -59,10 +59,7 @@ fn corpus_reproducer(name: &str) -> Reproducer {
 /// one inferred checker named on the flipped fault.
 fn assert_replay_flips(target: &dyn WatchdogTarget, fixture: &str, specs: Vec<InferredSpec>) {
     let rep = corpus_reproducer(fixture);
-    let opts = ChaosOptions {
-        sim: true,
-        ..ChaosOptions::default()
-    };
+    let opts = ChaosOptions::default();
 
     let (mimic_only, matches) = replay(target, &rep, &opts).unwrap();
     assert!(matches, "fixture no longer replays to its recorded verdict");

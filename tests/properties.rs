@@ -273,17 +273,16 @@ proptest! {
     /// The histogram never loses samples and percentiles are ordered.
     #[test]
     fn histogram_invariants(samples in proptest::collection::vec(any::<u64>(), 1..200)) {
-        let mut h = wdog_base::Histogram::new();
+        let h = wdog_telemetry::AtomicHistogram::new();
         for &s in &samples {
             h.record(s);
         }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.max(), *samples.iter().max().unwrap());
-        prop_assert_eq!(h.min(), *samples.iter().min().unwrap());
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        prop_assert!(p50 <= p99);
-        prop_assert!(p99 <= h.max());
+        let s = h.summarize();
+        prop_assert_eq!(s.count, samples.len() as u64);
+        prop_assert_eq!(s.max, *samples.iter().max().unwrap());
+        prop_assert_eq!(s.min, *samples.iter().min().unwrap());
+        prop_assert!(s.p50 <= s.p99);
+        prop_assert!(s.p99 <= s.max);
     }
 }
 
